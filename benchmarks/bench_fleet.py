@@ -87,10 +87,10 @@ def test_fleet_scaling_benchmark(benchmark, quick):
     speedup = single_s / fleet_s
     mode = "quick" if quick else "full"
     table(f"fleet scaling ({mode}: {n_clients} concurrent clients)",
-          ["mode", "clients", "shards", "single-daemon s", "fleet s",
-           "speedup", "spills"],
-          [(mode, n_clients, shards, f"{single_s:.3f}", f"{fleet_s:.3f}",
-            f"{speedup:.2f}x",
+          ["mode", "cores", "clients", "shards", "single-daemon s",
+           "fleet s", "speedup", "spills"],
+          [(mode, os.cpu_count(), n_clients, shards, f"{single_s:.3f}",
+            f"{fleet_s:.3f}", f"{speedup:.2f}x",
             status["fleet"]["router"]["spills"])])
     assert status["fleet"]["router"]["routed_sessions"] >= n_clients
     # scaling floor: only meaningful with real cores to spread over
@@ -102,7 +102,8 @@ def test_fleet_scaling_benchmark(benchmark, quick):
 
 def test_fleet_shard_kill_zero_session_loss(tmp_path):
     """Kill a shard mid-stream under load: every session still finishes
-    (the crash is absorbed by supervisor respawn + client re-attach)."""
+    (the crash is absorbed by shard respawn, journal recovery and client
+    re-attach)."""
     from repro.fleet import shard_of_session
     from repro.observer.reliable import RetransmitConfig
     from repro.server import ReconnectPolicy
@@ -110,7 +111,7 @@ def test_fleet_shard_kill_zero_session_loss(tmp_path):
     execution, initial = _xyz_run()
     n_clients = 4
     config = FleetConfig(
-        shards=2, workers=1, supervised=True,
+        shards=2, workers=1,
         checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=2,
         resume_timeout=15.0, heartbeat_interval=0.1, heartbeat_timeout=1.0,
         restart_backoff=0.05, restart_backoff_cap=0.2)
@@ -148,9 +149,10 @@ def test_fleet_shard_kill_zero_session_loss(tmp_path):
     finished = sum(1 for v in verdicts if v and v[1].state == "finished")
     on_killed = sum(1 for v in verdicts if v and v[0] == 0)
     table("fleet shard-kill survival (SIGKILL shard 0 mid-stream)",
-          ["clients", "on killed shard", "finished", "lost",
+          ["cores", "clients", "on killed shard", "finished", "lost",
            "shard restarts"],
-          [(n_clients, on_killed, finished, n_clients - finished,
+          [(os.cpu_count(), n_clients, on_killed, finished,
+            n_clients - finished,
             status["fleet"]["router"]["shard_restarts"])])
     assert finished == n_clients, "a session was lost to the shard kill"
     assert status["fleet"]["router"]["shard_restarts"] >= 1

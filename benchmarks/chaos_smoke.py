@@ -1,26 +1,32 @@
 """Chaos smoke: crash the analysis mid-stream, demand verdict parity.
 
-Two faults, injected against a supervised ``repro.server`` daemon while a
-client streams a workload:
+Two faults, injected while a client streams a workload to a journaled
+daemon (``checkpoint_dir`` set, so every session journals what it
+analyzed):
 
-* ``worker-kill``  — SIGKILL the session's analysis worker process half
-  way through the stream.  The supervisor must restart it, replay the
-  journal, and finish with the same verdict as an undisturbed run.
-* ``conn-drop``    — sever the client's TCP connection half way through.
-  The client's :class:`~repro.server.ReconnectPolicy` must resume by
-  token and resend the unacked window, again with verdict parity.
+* ``daemon-kill``  — SIGKILL the daemon half way through the stream.  The
+  daemon runs as a fleet of one (``FleetConfig(shards=1)``, the CLI's
+  ``repro fleet serve --shards 1``): the shard supervisor must respawn it
+  with recovery, the session must be rebuilt from its journal, and the
+  client's resume must finish with the same verdict as an undisturbed
+  run.
+* ``conn-drop``    — sever the client's TCP connection to a bare daemon
+  half way through the stream.  The client's
+  :class:`~repro.server.ReconnectPolicy` must resume by token and resend
+  the unacked window, again with verdict parity.
 
 Parity means: violation count, counterexample text, *and* final vector
 clocks all match a standalone Observer fed the same execution.  Run by
 the ``chaos-smoke`` CI job; exits non-zero on any mismatch.
 
-With ``--fleet`` a third fault joins, injected against a supervised
-2-shard :class:`~repro.fleet.AnalysisFleet` instead of a bare daemon:
+With ``--fleet`` the same contract runs against a 2-shard
+:class:`~repro.fleet.AnalysisFleet`:
 
 * ``shard-kill``   — SIGKILL the whole shard *daemon* owning the session
   (looked up from the session-id stride) half way through the stream.
   The fleet supervisor must respawn the slot with recovery, the client's
   resume must be routed to the reborn shard, and the verdict must match.
+* ``conn-drop``    — sever the client's connection to the router.
 
 Usage::
 
@@ -31,11 +37,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
-import signal
+import contextlib
 import sys
 import tempfile
-import time
 
 from repro.observer import Observer
 from repro.sched import RandomScheduler, run_program
@@ -56,8 +60,9 @@ WORKLOADS = [
     ("bank", transfer_program, AUDIT_PROPERTY, ("a", "b", "audited")),
 ]
 
-FAULTS = ("worker-kill", "conn-drop")
+FAULTS = ("daemon-kill", "conn-drop")
 FLEET_FAULTS = ("shard-kill", "conn-drop")
+KILLS = ("daemon-kill", "shard-kill")
 
 
 def control(factory, spec, variables, seed, backend="flat"):
@@ -80,19 +85,6 @@ def control(factory, spec, variables, seed, backend="flat"):
     return execution, initial, expected, tuple(clocks)
 
 
-def kill_worker(server, session_id, deadline=10.0):
-    """SIGKILL the live analysis worker of a session; returns its pid."""
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        sess = server._sessions.get(session_id)
-        proc = getattr(sess, "_proc", None) if sess is not None else None
-        if proc is not None and proc.pid is not None and proc.is_alive():
-            os.kill(proc.pid, signal.SIGKILL)
-            return proc.pid
-        time.sleep(0.02)
-    raise RuntimeError(f"no live worker for session {session_id}")
-
-
 def drop_connection(session):
     """Sever the client's socket under it (simulates a network cut)."""
     import socket as _socket
@@ -104,74 +96,53 @@ def drop_connection(session):
         pass
 
 
+@contextlib.contextmanager
+def serving(fault, shards, ckpt_dir):
+    """Yield ``(host, port, fleet)``: a fleet of ``shards`` shards, or —
+    for a connection cut in single-daemon mode — one bare daemon
+    (``fleet`` is then None)."""
+    if shards == 1 and fault == "conn-drop":
+        config = ServerConfig(
+            port=0, workers=2, checkpoint_dir=ckpt_dir, checkpoint_every=4,
+            resume_timeout=10.0, drain_timeout=60.0)
+        with AnalysisServer(config) as srv:
+            yield srv.host, srv.port, None
+        return
+    from repro.fleet import AnalysisFleet, FleetConfig
+
+    config = FleetConfig(
+        shards=shards, workers=1, checkpoint_dir=ckpt_dir,
+        checkpoint_every=4, resume_timeout=15.0, drain_timeout=60.0,
+        heartbeat_interval=0.1, heartbeat_timeout=1.0,
+        restart_backoff=0.05, restart_backoff_cap=0.2)
+    with AnalysisFleet(config) as fleet:
+        yield fleet.host, fleet.port, fleet
+
+
 def run_case(name, factory, spec, variables, seed, fault, ckpt_dir,
-             backend="flat"):
-    execution, initial, expected, clocks = control(
-        factory, spec, variables, seed, backend)
-    config = ServerConfig(
-        port=0, workers=2, supervised=True, checkpoint_dir=ckpt_dir,
-        checkpoint_every=4, resume_timeout=10.0, drain_timeout=60.0)
-    problems = []
-    with AnalysisServer(config) as srv:
-        session = attach(
-            srv.host, srv.port, n_threads=execution.n_threads,
-            initial=initial, spec=spec, program=name,
-            reconnect=ReconnectPolicy(max_attempts=8, backoff=0.05))
-        half = max(1, len(execution.messages) // 2)
-        for m in execution.messages[:half]:
-            session.send(m)
-        if fault == "worker-kill":
-            kill_worker(srv, session.session_id)
-        else:
-            drop_connection(session)
-        for m in execution.messages[half:]:
-            session.send(m)
-        verdict = session.close(timeout=60.0)
-
-    if verdict.state != "finished":
-        problems.append(f"state={verdict.state} error={verdict.error}")
-    if verdict.analyzed != len(execution.messages):
-        problems.append(
-            f"analyzed {verdict.analyzed} != {len(execution.messages)}")
-    got = sorted(verdict.counterexamples)
-    if got != expected:
-        problems.append(f"counterexamples {got} != {expected}")
-    if verdict.violations != len(expected):
-        problems.append(
-            f"violations {verdict.violations} != {len(expected)}")
-    if tuple(tuple(c) for c in verdict.final_clocks) != clocks:
-        problems.append(
-            f"final clocks {verdict.final_clocks} != {clocks}")
-    return problems
-
-
-def run_fleet_case(name, factory, spec, variables, seed, fault, ckpt_dir,
-                   backend="flat"):
-    """Same parity contract as :func:`run_case`, but the stream goes
-    through a 2-shard fleet and ``shard-kill`` takes out the *owning
-    shard daemon* (found via the session-id stride) rather than one
-    session worker."""
-    from repro.fleet import AnalysisFleet, FleetConfig, shard_of_session
+             backend="flat", shards=1):
+    """Stream one workload, inject ``fault`` half way, check parity.
+    A kill takes out the daemon owning the session (found via the
+    session-id stride), not a thread inside it."""
+    from repro.fleet import shard_of_session
     from repro.observer.reliable import RetransmitConfig
 
     execution, initial, expected, clocks = control(
         factory, spec, variables, seed, backend)
-    config = FleetConfig(
-        shards=2, workers=1, supervised=True, checkpoint_dir=ckpt_dir,
-        checkpoint_every=4, resume_timeout=15.0, drain_timeout=60.0,
-        heartbeat_interval=0.1, heartbeat_timeout=1.0,
-        restart_backoff=0.05, restart_backoff_cap=0.2)
     problems = []
-    with AnalysisFleet(config) as fleet:
+    restarts = None
+    with serving(fault, shards, ckpt_dir) as (host, port, fleet):
+        extra = {} if fleet is None else dict(
+            fault_tolerant=True, config=RetransmitConfig(window=64))
         session = attach(
-            fleet.host, fleet.port, n_threads=execution.n_threads,
-            initial=initial, spec=spec, program=name, fault_tolerant=True,
-            config=RetransmitConfig(window=64),
-            reconnect=ReconnectPolicy(max_attempts=10, backoff=0.1))
+            host, port, n_threads=execution.n_threads,
+            initial=initial, spec=spec, program=name,
+            reconnect=ReconnectPolicy(max_attempts=10, backoff=0.1),
+            **extra)
         half = max(1, len(execution.messages) // 2)
         for m in execution.messages[:half]:
             session.send(m)
-        if fault == "shard-kill":
+        if fault in KILLS:
             slot = shard_of_session(session.session_id)
             if fleet.supervisor.kill_shard(slot) is None:
                 problems.append(f"no live shard {slot} to kill")
@@ -180,7 +151,8 @@ def run_fleet_case(name, factory, spec, variables, seed, fault, ckpt_dir,
         for m in execution.messages[half:]:
             session.send(m)
         verdict = session.close(timeout=60.0)
-        router = fleet.status()["fleet"]["router"]
+        if fleet is not None:
+            restarts = fleet.status()["fleet"]["router"]["shard_restarts"]
 
     if verdict.state != "finished":
         problems.append(f"state={verdict.state} error={verdict.error}")
@@ -196,9 +168,9 @@ def run_fleet_case(name, factory, spec, variables, seed, fault, ckpt_dir,
     if tuple(tuple(c) for c in verdict.final_clocks) != clocks:
         problems.append(
             f"final clocks {verdict.final_clocks} != {clocks}")
-    if fault == "shard-kill" and router["shard_restarts"] < 1:
-        problems.append("shard-kill injected but the supervisor "
-                        "recorded no restart")
+    if fault in KILLS and restarts < 1:
+        problems.append(f"{fault} injected but the supervisor recorded no "
+                        "restart")
     return problems
 
 
@@ -211,12 +183,12 @@ def main() -> int:
                     help="clock backend for the instrumented control run "
                          "(default flat); tree must give identical verdicts")
     ap.add_argument("--fleet", action="store_true",
-                    help="inject against a supervised 2-shard fleet "
-                         "(shard-kill + conn-drop) instead of one daemon")
+                    help="inject against a 2-shard fleet (shard-kill + "
+                         "conn-drop) instead of one daemon")
     args = ap.parse_args()
 
     faults = FLEET_FAULTS if args.fleet else FAULTS
-    runner = run_fleet_case if args.fleet else run_case
+    shards = 2 if args.fleet else 1
     failures = 0
     total = 0
     for name, factory, spec, variables in WORKLOADS:
@@ -225,9 +197,9 @@ def main() -> int:
                 total += 1
                 with tempfile.TemporaryDirectory() as ckpt:
                     try:
-                        problems = runner(
+                        problems = run_case(
                             name, factory, spec, variables, seed, fault,
-                            ckpt, backend=args.backend)
+                            ckpt, backend=args.backend, shards=shards)
                     except Exception as exc:  # noqa: BLE001 - smoke harness
                         problems = [f"exception: {exc!r}"]
                 tag = f"{name:<8} seed={seed} {fault:<11}"

@@ -25,7 +25,8 @@ original tool:
   health, verdicts and metrics;
 * ``fleet serve`` — run the sharded analysis fleet: one router port in
   front of N shard daemons with consistent-hash placement, admission
-  spill, and supervised restart-with-recovery (docs/FLEET.md);
+  spill, and shard restart-with-recovery; ``--shards 1 --checkpoint DIR``
+  is the supervised single daemon (docs/FLEET.md);
 * ``status``  — fleet-wide status table: router counters, per-shard
   health and generation, and every session across the fleet (degrades
   to the single-daemon view against a plain ``repro serve``);
@@ -61,7 +62,7 @@ Examples::
     python -m repro serve --port 4040 --max-sessions 8 --archive /var/traces
     python -m repro attach xyz --port 4040
     python -m repro sessions --port 4040
-    python -m repro fleet serve --port 4050 --shards 4 --supervised --checkpoint /var/ckpt
+    python -m repro fleet serve --port 4050 --shards 4 --checkpoint /var/ckpt
     python -m repro status --port 4050
     python -m repro lint src/repro/workloads examples --json
     python -m repro spec check --demos --scan src/repro/workloads
@@ -498,7 +499,7 @@ def cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             host=args.host, port=args.port, max_sessions=args.max_sessions,
             max_queued_events=args.max_queued, workers=args.workers,
             results_path=args.results, archive_dir=args.archive,
-            supervised=args.supervised, checkpoint_dir=args.checkpoint_dir,
+            checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             resume_timeout=args.resume_timeout, recover=args.recover,
             default_engines=tuple(args.engines or ()),
@@ -507,10 +508,8 @@ def cmd_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         out(f"error: {exc}")
         return 2
     server = AnalysisServer(config, on_session_end=on_end).start()
-    mode = " supervised" if config.supervised else ""
     out(f"serving on {server.host}:{server.port} "
-        f"(max {config.max_sessions} sessions, {config.workers}{mode} "
-        f"workers)")
+        f"(max {config.max_sessions} sessions, {config.workers} workers)")
     sys.stdout.flush()
 
     stop = threading.Event()
@@ -700,7 +699,7 @@ def cmd_fleet_serve(args: argparse.Namespace,
             max_sessions=args.max_sessions,
             max_queued_events=args.max_queued, workers=args.workers,
             results_path=args.results, archive_dir=args.archive,
-            supervised=args.supervised, checkpoint_dir=args.checkpoint_dir,
+            checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             resume_timeout=args.resume_timeout,
             default_engines=tuple(args.engines or ()),
@@ -713,10 +712,10 @@ def cmd_fleet_serve(args: argparse.Namespace,
     except RuntimeError as exc:
         out(f"error: fleet failed to start: {exc}")
         return 2
-    mode = " supervised" if config.supervised else ""
+    mode = ", journaled" if config.checkpoint_dir else ""
     out(f"fleet serving on {fleet.host}:{fleet.port} "
         f"({config.shards} shards, {config.max_sessions} sessions x "
-        f"{config.workers}{mode} workers each)")
+        f"{config.workers} workers each{mode})")
     for row in fleet.supervisor.snapshot():
         if row["state"] == "up":
             out(f"  shard {row['shard']}: {row['host']}:{row['port']} "
@@ -1136,13 +1135,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archive", default=None, metavar="DIR",
                    help="persist every finished session into a trace "
                         "archive rooted at DIR (see 'repro replay/query/gc')")
-    p.add_argument("--supervised", action="store_true",
-                   help="run each session's analysis in a supervised, "
-                        "journaled worker process (requires --checkpoint)")
     p.add_argument("--checkpoint", default=None, metavar="DIR",
                    dest="checkpoint_dir",
-                   help="directory for durable session journals "
-                        "(required by --supervised / --recover)")
+                   help="directory for durable session journals: every "
+                        "session journals what it analyzed (required by "
+                        "--recover)")
     p.add_argument("--checkpoint-every", type=_positive_int, default=128,
                    help="journal fsync cadence in events (default 128)")
     p.add_argument("--resume-timeout", type=float, default=0.0,
@@ -1204,14 +1201,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archive", default=None, metavar="DIR",
                    help="fleet archive root: shard N records under "
                         "DIR/shard-NN with trace ids namespaced shNN-")
-    p.add_argument("--supervised", action="store_true",
-                   help="supervised, journaled session workers on every "
-                        "shard (requires --checkpoint); also what makes "
-                        "sessions survive whole-shard crashes")
     p.add_argument("--checkpoint", default=None, metavar="DIR",
                    dest="checkpoint_dir",
-                   help="root for per-shard session journals "
-                        "(required by --supervised)")
+                   help="root for per-shard session journals; with it, "
+                        "sessions survive whole-shard crashes (a restarted "
+                        "shard recovers them and clients resume)")
     p.add_argument("--checkpoint-every", type=_positive_int, default=128,
                    help="journal fsync cadence in events (default 128)")
     p.add_argument("--resume-timeout", type=float, default=30.0,

@@ -47,17 +47,17 @@ class FleetConfig:
         archive_dir: fleet archive root; each shard records under
             ``<archive_dir>/shard-NN`` with trace ids namespaced
             ``shNN-…`` so the per-shard catalogs share one id space.
-        supervised / checkpoint_dir / checkpoint_every: crash resilience
-            pass-throughs.  ``supervised`` implies per-shard checkpoint
-            dirs under ``checkpoint_dir`` and a default resume window, so
-            sessions survive both worker crashes and whole-shard kills.
+        checkpoint_dir / checkpoint_every: crash resilience
+            pass-throughs.  With ``checkpoint_dir`` every shard journals
+            its sessions under ``<checkpoint_dir>/shard-NN`` and a
+            respawned shard recovers them, so sessions survive
+            whole-shard kills.
         resume_timeout: per-shard resume window.  Defaults to 30s —
             unlike a lone daemon, a fleet exists to survive shard
             restarts, which only works when clients can re-attach.
         default_engines / strict_specs: analysis pass-throughs.
         heartbeat_interval / heartbeat_timeout: shard supervisor probe
-            cadence and silence threshold (the daemon-level analogue of
-            :class:`~repro.server.supervisor.SupervisorConfig`).
+            cadence and silence threshold.
         max_shard_restarts: restart budget per shard slot; an exhausted
             budget marks the slot down and the router routes around it.
         restart_backoff / restart_backoff_cap: capped exponential delay
@@ -83,7 +83,6 @@ class FleetConfig:
     io_timeout: float = 60.0
     results_path: Optional[str] = None
     archive_dir: Optional[str] = None
-    supervised: bool = False
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 128
     resume_timeout: float = 30.0
@@ -103,10 +102,6 @@ class FleetConfig:
             raise ValueError("shards must be >= 1")
         if self.vnodes < 1:
             raise ValueError("vnodes must be >= 1")
-        if self.supervised and not self.checkpoint_dir:
-            raise ValueError(
-                "supervised fleets need a checkpoint_dir for the per-shard "
-                "session journals")
         if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
             raise ValueError("heartbeat intervals must be > 0")
         if self.max_shard_restarts < 0:
@@ -119,9 +114,10 @@ class FleetConfig:
     def shard_config(self, index: int, recover: bool = False) -> ServerConfig:
         """The :class:`ServerConfig` for shard slot *index*.
 
-        ``recover=True`` is used on restart-after-crash: the shard rescans
-        its journals and readmits every session as detached, awaiting the
-        client's resume through the router.
+        ``recover=True`` is used on restart-after-crash: a shard with a
+        checkpoint directory rescans its journals and readmits every
+        session as detached, awaiting the client's resume through the
+        router.
         """
         if not 0 <= index < self.shards:
             raise ValueError(f"shard index {index} out of range "
@@ -146,11 +142,10 @@ class FleetConfig:
             results_path=self.results_path,
             archive_dir=archive_dir,
             archive_namespace=f"sh{index:02d}" if archive_dir else "",
-            supervised=self.supervised,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=self.checkpoint_every,
             resume_timeout=self.resume_timeout,
-            recover=recover and self.supervised,
+            recover=recover and checkpoint_dir is not None,
             default_engines=self.default_engines,
             strict_specs=self.strict_specs,
             session_id_base=index * SESSION_STRIDE + 1,

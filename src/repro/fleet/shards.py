@@ -1,22 +1,24 @@
 """Shard daemons and their supervisor.
 
 Each shard is a full :class:`~repro.server.daemon.AnalysisServer` running
-in its own **process** (``multiprocessing`` spawn context, like the
-session workers of :mod:`repro.server.supervisor`): real OS-level
+in its own **process** (``multiprocessing`` spawn context): real OS-level
 parallelism across cores, and a crash domain the router can kill and
-restart without touching its siblings.
+restart without touching its siblings.  This is the only process
+supervisor in the package; a lone supervised daemon is a fleet of one.
 
-The :class:`ShardSupervisor` reuses the daemon-supervisor heartbeat
-pattern one level up: a monitor thread watches process liveness and
-round-trips a ``status`` hello against every shard on a fixed cadence; a
-shard that dies — or goes silent past ``heartbeat_timeout`` — is killed
-and respawned **in the same slot** with the same checkpoint directory and
-``recover=True``, so the replacement daemon rescans its journals and
-readmits every interrupted session as detached.  Clients then recover
+The :class:`ShardSupervisor` runs a monitor thread that watches process
+liveness and round-trips a ``status`` hello against every shard on a
+fixed cadence; a shard that dies — or goes silent past
+``heartbeat_timeout`` — is killed and respawned **in the same slot** with
+the same checkpoint directory and ``recover=True``, so the replacement
+daemon rescans its journals and readmits every interrupted session as
+detached (a journal past its recovery budget is failed with a reason
+instead — see ``ServerConfig.max_restarts``).  Clients then recover
 through the ordinary resume-token re-attach: their reconnect dials the
 router, whose session-id stride routing lands the resume on the reborn
-shard.  Restarts are budgeted with capped exponential backoff; a slot
-that exhausts its budget is marked down and the router routes around it.
+shard.  Restarts are budgeted with capped exponential backoff, and a
+replacement that fails to boot is one more restart; a slot that exhausts
+its budget is marked down and the router routes around it.
 """
 
 from __future__ import annotations
@@ -58,18 +60,19 @@ def _shard_main(conn, config: ServerConfig,
     death) and drain-shuts the daemon, reporting ``("stopped",
     n_records)``.  ``metrics_enabled`` carries the parent's collection
     state across the spawn boundary so fleet status can aggregate shard
-    metric snapshots.
+    metric snapshots.  Any startup exception is reported as ``("error",
+    text)`` naming the exception, never left to a bare exit.
     """
-    # the router's parent process coordinates shutdown; a terminal SIGINT
-    # must not kill shards before their sessions drain
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if metrics_enabled:
-        _metrics.enable()
     try:
+        # the router's parent process coordinates shutdown; a terminal
+        # SIGINT must not kill shards before their sessions drain
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        if metrics_enabled:
+            _metrics.enable()
         server = AnalysisServer(config).start()
     except Exception as exc:  # noqa: BLE001 - reported to the supervisor
         try:
-            conn.send(("error", repr(exc)))
+            conn.send(("error", f"{type(exc).__name__}: {exc}"))
         except OSError:
             pass
         return
@@ -94,6 +97,19 @@ def _shard_main(conn, config: ServerConfig,
         conn.send(("stopped", len(records)))
     except OSError:
         pass
+
+
+def _exit_text(exitcode: Optional[int]) -> str:
+    """A child's exit status for an error message: a negative exit code
+    is the signal that killed it, shown by name."""
+    if exitcode is None:
+        return "still running"
+    if exitcode < 0:
+        try:
+            return f"killed by {signal.Signals(-exitcode).name}"
+        except ValueError:
+            return f"killed by signal {-exitcode}"
+    return f"exit code {exitcode}"
 
 
 class _ShardHandle:
@@ -134,9 +150,13 @@ class ShardSupervisor:
 
     def start(self) -> "ShardSupervisor":
         """Spawn every shard and start the health monitor."""
-        for index in range(self.config.shards):
-            self._handles[index] = self._spawn(index, generation=1,
-                                               recover=False)
+        try:
+            for index in range(self.config.shards):
+                self._handles[index] = self._spawn(index, generation=1,
+                                                   recover=False)
+        except BaseException:
+            self.shutdown()   # stop the shards that did come up
+            raise
         if _metrics.ENABLED:
             _G_ACTIVE_SHARDS.set(self.config.shards)
         self._monitor = threading.Thread(
@@ -150,13 +170,12 @@ class ShardSupervisor:
         """Start one shard process and wait for its ready report."""
         server_config = self.config.shard_config(index, recover=recover)
         parent_conn, child_conn = _MP.Pipe()
-        # NOT daemonic: a supervised shard spawns its own session-worker
-        # processes, which daemonic processes are forbidden to do.  Orphan
-        # safety comes from _shard_main's parent-death poll instead.
+        # daemonic, so an exiting fleet process reaps it; a SIGKILLed one
+        # is covered by _shard_main's parent-death poll
         proc = _MP.Process(
             target=_shard_main,
             args=(child_conn, server_config, _metrics.ENABLED),
-            name=f"repro-shard-{index:02d}-g{generation}", daemon=False)
+            name=f"repro-shard-{index:02d}-g{generation}", daemon=True)
         proc.start()
         child_conn.close()
         deadline = time.monotonic() + self.config.spawn_timeout
@@ -166,7 +185,8 @@ class ShardSupervisor:
             if remaining <= 0 or dead:
                 if proc.is_alive():
                     proc.kill()
-                what = ("died before reporting ready" if dead else
+                what = (f"died before reporting ready "
+                        f"({_exit_text(proc.exitcode)})" if dead else
                         f"did not report ready within "
                         f"{self.config.spawn_timeout}s")
                 raise RuntimeError(
@@ -176,8 +196,10 @@ class ShardSupervisor:
             try:
                 msg = parent_conn.recv()
             except (EOFError, OSError) as exc:
+                proc.join(timeout=1.0)
                 raise RuntimeError(
-                    f"shard {index} died during startup: {exc!r}") from exc
+                    f"shard {index} died during startup "
+                    f"({_exit_text(proc.exitcode)})") from exc
             if msg and msg[0] == "ready":
                 _, host, port, pid = msg
                 return _ShardHandle(index, generation, proc, parent_conn,
@@ -235,46 +257,51 @@ class ShardSupervisor:
 
     def _handle_crash(self, index: int, handle: _ShardHandle,
                       why: str) -> None:
-        """Kill a dead/hung shard and respawn the slot with recovery."""
+        """Kill a dead/hung shard and respawn the slot with recovery.
+
+        A respawn that fails (the replacement dies or hangs before it
+        reports ready) counts as one more crash against the slot's
+        budget and is retried after the next backoff, so a daemon that
+        dies while booting still reaches the per-session recovery budget
+        that stops a crash loop."""
         if handle.proc.is_alive():
             handle.proc.kill()
             handle.proc.join(timeout=5.0)
-        n = self._restarts[index] + 1
-        self._restarts[index] = n
-        self._restarts_total += 1
-        if _metrics.ENABLED:
-            _C_RESTARTS.inc()
-        if n > self.config.max_shard_restarts:
-            reason = (f"{why}; restart budget exhausted after "
-                      f"{self.config.max_shard_restarts} restarts")
-            _LOG.error("shard %d down for good: %s", index, reason)
-            with self._lock:
-                self._handles[index] = None
-                self._down_reason[index] = reason
-            if _metrics.ENABLED:
-                _G_ACTIVE_SHARDS.add(-1)
-            return
-        backoff = min(self.config.restart_backoff * (2 ** (n - 1)),
-                      self.config.restart_backoff_cap)
-        _LOG.warning("shard %d: %s; restart %d/%d in %.2fs", index, why,
-                     n, self.config.max_shard_restarts, backoff)
         with self._lock:
             self._handles[index] = None   # route around it while it boots
-        if self._stop.wait(backoff):
-            return
-        try:
-            replacement = self._spawn(index, generation=handle.generation + 1,
-                                      recover=True)
-        except RuntimeError as exc:
-            _LOG.error("shard %d failed to respawn: %s", index, exc)
-            with self._lock:
-                self._down_reason[index] = str(exc)
+        generation = handle.generation
+        while True:
+            n = self._restarts[index] + 1
+            self._restarts[index] = n
+            self._restarts_total += 1
             if _metrics.ENABLED:
-                _G_ACTIVE_SHARDS.add(-1)
+                _C_RESTARTS.inc()
+            if n > self.config.max_shard_restarts:
+                reason = (f"{why}; restart budget exhausted after "
+                          f"{self.config.max_shard_restarts} restarts")
+                _LOG.error("shard %d down for good: %s", index, reason)
+                with self._lock:
+                    self._down_reason[index] = reason
+                if _metrics.ENABLED:
+                    _G_ACTIVE_SHARDS.add(-1)
+                return
+            backoff = min(self.config.restart_backoff * (2 ** (n - 1)),
+                          self.config.restart_backoff_cap)
+            _LOG.warning("shard %d: %s; restart %d/%d in %.2fs", index, why,
+                         n, self.config.max_shard_restarts, backoff)
+            if self._stop.wait(backoff):
+                return
+            generation += 1
+            try:
+                replacement = self._spawn(index, generation=generation,
+                                          recover=True)
+            except RuntimeError as exc:
+                why = f"respawn failed: {exc}"
+                continue
+            with self._lock:
+                self._handles[index] = replacement
+                self._down_reason[index] = None
             return
-        with self._lock:
-            self._handles[index] = replacement
-            self._down_reason[index] = None
 
     # -- queries (router-facing) ----------------------------------------------
 

@@ -224,7 +224,8 @@ class FrameDecoder:
         """Consume one wire line.  Data/heartbeat frames are fully handled
         here (returns ``None``); any other parsed frame is returned for the
         caller to act on.  A ``fin`` frame records its count before being
-        returned.  Unparseable lines count as corrupt and return ``None``.
+        returned.  Unparseable lines, and a ``fin`` whose count is not a
+        non-negative integer, count as corrupt and return ``None``.
         """
         line = line.strip()
         if not line:
@@ -250,7 +251,14 @@ class FrameDecoder:
             self.last_heartbeat = time.monotonic()
             return None
         if kind == "fin":
-            self.expected_total = d.get("count")
+            count = d.get("count")
+            if (not isinstance(count, int) or isinstance(count, bool)
+                    or count < 0):
+                self.corrupt_frames += 1
+                if _metrics.ENABLED:
+                    _C_RECV_CORRUPT.inc()
+                return None
+            self.expected_total = count
         return d
 
     def _on_msg_frame(self, d: dict) -> None:

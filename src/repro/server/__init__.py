@@ -18,13 +18,12 @@ sink; ``close`` completes the stream and returns the server's
 :class:`SessionVerdict`.
 
 Crash resilience (opt-in, ``docs/SERVER.md`` § Failure model & recovery):
-``ServerConfig(supervised=True, checkpoint_dir=...)`` runs each session's
-analysis in a supervised, journaled worker process
-(:mod:`repro.server.supervisor`, :mod:`repro.server.recovery`);
-``resume_timeout > 0`` plus a client-side :class:`ReconnectPolicy` lets a
-dropped connection re-attach by resume token and replay its unacked
-window; ``recover=True`` readmits journaled sessions after a daemon
-restart.
+``ServerConfig(checkpoint_dir=...)`` journals every session's analyzed
+prefix (:mod:`repro.server.recovery`); ``resume_timeout > 0`` plus a
+client-side :class:`ReconnectPolicy` lets a dropped connection re-attach
+by resume token and replay its unacked window; ``recover=True`` readmits
+journaled sessions after a daemon restart.  Restarting a dead daemon is
+the fleet supervisor's job (``repro fleet serve --shards 1`` for one).
 """
 
 from .client import (
@@ -40,15 +39,12 @@ from .daemon import AnalysisServer, ServerConfig
 from .protocol import PROTOCOL_VERSION, Hello, ProtocolError
 from .recovery import JournalError, SessionJournal, scan_journals
 from .session import Session, SessionState
-from .supervisor import SupervisedSession, SupervisorConfig
 
 __all__ = [
     "AnalysisServer",
     "ServerConfig",
     "Session",
     "SessionState",
-    "SupervisedSession",
-    "SupervisorConfig",
     "SessionJournal",
     "JournalError",
     "scan_journals",

@@ -267,10 +267,11 @@ class AttachedSession:
                                     on_frame=self._on_frame,
                                     first_seq=delivered)
             self.epoch = epoch
+            # keep what lies below `delivered`: a live daemon holds it in
+            # memory, but only a ckpt frame says it would survive a crash
             with self._lock:
-                while self._buffer and self._buffer[0][0] < delivered:
-                    self._buffer.popleft()
-                replay = list(self._buffer)
+                replay = [(seq, m) for seq, m in self._buffer
+                          if seq >= delivered]
             try:
                 for _seq, msg in replay:
                     sender.send(msg)

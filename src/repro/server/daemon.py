@@ -23,13 +23,13 @@ two-process pipeline.  The moving parts:
 * **graceful shutdown**: stop accepting, give live sessions
   ``drain_timeout`` to finish, flush every record (optionally to a JSONL
   results file), then take the worker pool down;
-* **crash resilience** (opt-in): ``supervised=True`` runs each session's
-  analysis in a restartable worker process journaled through
-  ``checkpoint_dir`` (:mod:`repro.server.supervisor` /
-  :mod:`repro.server.recovery`); ``resume_timeout > 0`` keeps a session
-  alive after its connection drops so the client can re-attach by resume
-  token; ``recover=True`` readmits journaled sessions after a daemon
-  restart.
+* **crash resilience** (opt-in): ``checkpoint_dir`` makes every session
+  journal its analyzed prefix (:mod:`repro.server.recovery`);
+  ``resume_timeout > 0`` keeps a session alive after its connection drops
+  so the client can re-attach by resume token; ``recover=True`` readmits
+  journaled sessions after a daemon restart.  Restarting a dead daemon is
+  the fleet's job (:mod:`repro.fleet.shards`; a lone supervised daemon is
+  ``repro fleet serve --shards 1``).
 """
 
 from __future__ import annotations
@@ -49,12 +49,9 @@ from typing import Callable, Optional
 from .. import __version__ as _repro_version
 from ..obs import metrics as _metrics
 from ..observer.reliable import FrameDecoder, _frame
-from ..observer.trace import TraceFormatError
-from ..store.format import read_trace_prefix
 from .protocol import Hello, ProtocolError, encode_frame
 from .recovery import SessionJournal, scan_journals
 from .session import Session, SessionState
-from .supervisor import SupervisedSession, SupervisorConfig
 
 _LOG = logging.getLogger("repro.server")
 
@@ -138,25 +135,22 @@ class ServerConfig:
             into a v2 trace file and the catalog entry (verdict, final
             clocks) is published when the session finishes.  Failed
             sessions leave nothing behind.
-        supervised: run each session's analysis in a supervised worker
-            process journaled under ``checkpoint_dir``; crashed workers
-            are restarted and rebuilt from their journal
-            (:mod:`repro.server.supervisor`).
-        checkpoint_dir: root directory for per-session durable journals;
-            required by ``supervised`` and ``recover``.
-        checkpoint_every: journal fsync cadence, in events.
+        checkpoint_dir: root directory for per-session durable journals.
+            When set, every session journals each analyzed batch and
+            checkpoints it (fsync + ``ckpt`` frame to the client); required
+            by ``recover``.
+        checkpoint_every: journal fsync cadence, in events (taken at the
+            first batch boundary past it).
         resume_timeout: how long a session survives after its connection
             drops, waiting for the client to resume by token.  0 (the
             default) disables re-attach: a dropped connection fails the
             session, as before.
         recover: at startup, scan ``checkpoint_dir`` and readmit every
-            journaled session as a detached supervised session awaiting
-            its client's resume.
-        heartbeat_timeout: supervisor-side silence threshold declaring a
-            worker dead.
-        max_restarts: per-session worker restart budget; exceeding it
-            fails the session with a reasoned ``err`` (crash-loop stop).
-        restart_backoff: base of the exponential restart backoff.
+            journaled session, rebuilt from its journal, as a detached
+            session awaiting its client's resume.
+        max_restarts: per-session recovery budget.  A journal readmitted
+            more often than this is failed at ``recover`` with a reasoned
+            error (crash-loop stop) instead of being replayed again.
         strict_specs: run the static spec-consistency pass
             (:func:`repro.staticcheck.speccheck.strict_reject_reason`) on
             every hello's spec and engine selections; an unsatisfiable,
@@ -185,14 +179,11 @@ class ServerConfig:
     max_records: int = 256
     results_path: Optional[str] = None
     archive_dir: Optional[str] = None
-    supervised: bool = False
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 128
     resume_timeout: float = 0.0
     recover: bool = False
-    heartbeat_timeout: float = 2.0
     max_restarts: int = 3
-    restart_backoff: float = 0.1
     #: Engine selections applied to sessions whose hello names none
     #: (see :mod:`repro.engines`); empty keeps the classic single-LTL
     #: pipeline driven by the hello's spec.
@@ -212,29 +203,15 @@ class ServerConfig:
             raise ValueError("workers must be >= 0")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if (self.supervised or self.recover) and not self.checkpoint_dir:
+        if self.recover and not self.checkpoint_dir:
             raise ValueError(
-                "supervised/recover require a checkpoint_dir for the "
-                "session journals")
+                "recover requires a checkpoint_dir for the session journals")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.resume_timeout < 0:
             raise ValueError("resume_timeout must be >= 0")
-        if self.heartbeat_timeout <= 0:
-            raise ValueError("heartbeat_timeout must be > 0")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.restart_backoff < 0:
-            raise ValueError("restart_backoff must be >= 0")
-
-    def supervisor_config(self) -> SupervisorConfig:
-        return SupervisorConfig(
-            heartbeat_interval=min(0.2, self.heartbeat_timeout / 4),
-            heartbeat_timeout=self.heartbeat_timeout,
-            max_restarts=self.max_restarts,
-            restart_backoff=self.restart_backoff,
-            checkpoint_every=self.checkpoint_every,
-        )
 
 
 class _Overload(Exception):
@@ -267,6 +244,7 @@ class AnalysisServer:
         self._sessions: dict[int, Session] = {}      # live (non-terminal)
         self._records: list[dict] = []               # sealed, bounded
         self._next_sid = config.session_id_base
+        self._admitting = 0   # slots reserved by attaches still being built
         self._rejected = 0
         self._draining = False
         self._started_at = time.time()
@@ -299,13 +277,15 @@ class AnalysisServer:
 
     def _recover_sessions(self) -> None:
         """Readmit every journaled session under ``checkpoint_dir`` as a
-        detached supervised session: its worker restarts immediately and
-        replays the journal; the client has a resume window of at least
-        ``drain_timeout`` to re-attach by token."""
+        detached session; the client has a resume window of at least
+        ``drain_timeout`` to re-attach by token.  The worker pool rebuilds
+        each session from its journal after start-up, and a resumed
+        connection is held until that rebuild is done.  A journal past
+        its recovery budget is failed with a reasoned record instead:
+        replaying it again would likely crash the daemon again."""
         journals, skipped = scan_journals(self.config.checkpoint_dir)
         for name, why in skipped:
             _LOG.warning("not recovering %s: %s", name, why)
-        sup = self.config.supervisor_config()
         window = max(self.config.resume_timeout, self.config.drain_timeout)
         for journal in journals:
             meta = journal.meta
@@ -315,27 +295,32 @@ class AnalysisServer:
                 spec=meta.spec, fault_tolerant=meta.fault_tolerant,
                 engines=meta.engines)
             try:
-                durable = 0
-                if journal.events_path.exists():
-                    durable = len(read_trace_prefix(
-                        journal.events_path).messages)
-            except (TraceFormatError, OSError):
-                durable = 0
-            try:
-                session = SupervisedSession(
-                    meta.session, hello, journal, supervisor=sup,
+                n = journal.note_recovery()
+                if n > self.config.max_restarts:
+                    self._fail_journal(journal, hello, (
+                        f"crash loop: session recovered {n - 1} time(s); "
+                        f"recovery budget (max_restarts="
+                        f"{self.config.max_restarts}) exhausted"))
+                    continue
+                session = Session(
+                    meta.session, hello,
                     max_queued=self.config.max_queued_events,
-                    peer="recovered")
+                    peer="recovered", journal=journal,
+                    checkpoint_every=self.config.checkpoint_every)
             except Exception as exc:  # noqa: BLE001 - skip, don't crash boot
                 _LOG.warning("not recovering session %s: %r",
                              meta.session, exc)
+                journal.close()
                 continue
             session.token = meta.token
             session.epoch = meta.epoch
-            session.restore_progress(durable)
             with self._lock:
                 self._sessions[meta.session] = session
                 self._next_sid = max(self._next_sid, meta.session + 1)
+                # the pool's first turn on it rebuilds the journaled
+                # prefix; start() does not wait for that lattice work
+                session.scheduled = True
+            self._tasks.put(session)
             if self.archive is not None:
                 session.attach_archive(self.archive)
             if _metrics.ENABLED:
@@ -345,8 +330,22 @@ class AnalysisServer:
                     "server.session.events", unit="messages",
                     help="events ingested by one session (labelled)",
                     labels={"session": meta.session})
-            session.start_worker()
             self._detach(session, window, count=False)
+
+    def _fail_journal(self, journal: SessionJournal, hello: Hello,
+                      reason: str) -> None:
+        """Record a journaled session as failed without replaying it, so
+        ``repro sessions`` and the client's resume both see the reason."""
+        _LOG.error("session %s: %s", journal.meta.session, reason)
+        session = Session(journal.meta.session, hello, peer="recovered")
+        session.fail(reason)
+        journal.delete()
+        with self._lock:
+            self._sessions[session.id] = session
+            self._next_sid = max(self._next_sid, session.id + 1)
+        if _metrics.ENABLED:
+            _G_ACTIVE.add(1)   # every registered session is counted once
+        self._retire(session)
 
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> list[dict]:
@@ -598,8 +597,12 @@ class AnalysisServer:
         with self._lock:
             session = self._sessions.get(hello.session)
             if session is None or session.state.terminal:
-                reason = (f"cannot resume session {hello.session}: "
-                          "no such live session")
+                ended = next((r for r in reversed(self._records)
+                              if r["session"] == hello.session), None)
+                reason = (f"cannot resume session {hello.session}: " + (
+                    f"session {ended['state']}: {ended['error']}"
+                    if ended is not None and ended["error"]
+                    else "no such live session"))
                 session = None
             elif not session.token or not hmac.compare_digest(
                     session.token, hello.token):
@@ -625,9 +628,10 @@ class AnalysisServer:
             timer.cancel()
         epoch = session.resume(conn)
         session.peer = peer
-        if session.supervised:
+        journal = session.journal
+        if journal is not None:
             try:
-                session.journal.bump_epoch(epoch)
+                journal.bump_epoch(epoch)
             except OSError:
                 pass   # a stale persisted epoch is tolerated on re-recover
         delivered = session.delivered_for_resume()
@@ -689,27 +693,39 @@ class AnalysisServer:
         reason: Optional[str] = None
         why = "other"
         with self._lock:
+            in_use = len(self._sessions) + self._admitting
             if self._draining:
                 reason = "server is shutting down"
                 why = "draining"
-            elif len(self._sessions) >= self.config.max_sessions:
-                reason = (f"server at capacity: {len(self._sessions)} of "
+            elif in_use >= self.config.max_sessions:
+                reason = (f"server at capacity: {in_use} of "
                           f"{self.config.max_sessions} sessions in use")
                 why = "capacity"
             else:
+                # reserve the slot and id; the session (and its journal's
+                # fsync) is built outside the lock
                 sid = self._next_sid
                 self._next_sid += 1
-                token = secrets.token_hex(8)
-                try:
-                    session = self._build_session(sid, hello, token, peer)
-                except Exception as exc:  # noqa: BLE001 - told to the client
-                    reason = f"session setup failed: {exc}"
-                    why = "setup"
-                else:
+                self._admitting += 1
+        if reason is None:
+            token = secrets.token_hex(8)
+            try:
+                session = self._build_session(sid, hello, token, peer)
+            except Exception as exc:  # noqa: BLE001 - told to the client
+                reason = f"session setup failed: {exc}"
+                why = "setup"
+            with self._lock:
+                self._admitting -= 1
+                if session is not None and self._draining:
+                    reason = "server is shutting down"
+                    why = "draining"
+                elif session is not None:
                     session.token = token
                     self._sessions[sid] = session
-        if session is None:
-            self._reject(conn, reason or "rejected", why=why)
+        if reason is not None:
+            if session is not None:
+                session.fail(reason)   # never registered; drops its journal
+            self._reject(conn, reason, why=why)
             return None
         session.conn = conn
         sid = session.id
@@ -725,8 +741,6 @@ class AnalysisServer:
                 "server.session.events", unit="messages",
                 help="events ingested by one session (labelled)",
                 labels={"session": sid})
-        if session.supervised:
-            session.start_worker()
         conn.sendall(encode_frame({
             "t": "helloack", "session": sid, "epoch": session.epoch,
             "token": session.token}))
@@ -734,26 +748,26 @@ class AnalysisServer:
 
     def _build_session(self, sid: int, hello: Hello, token: str,
                        peer: str) -> Session:
-        """Construct the right session flavor for this config (called
-        under the server lock; raising rejects the attach with reason)."""
-        if not self.config.supervised:
+        """Construct the session, with a fresh journal when the daemon
+        checkpoints (raising rejects the attach with reason)."""
+        journal = None
+        if self.config.checkpoint_dir is not None:
+            journal = SessionJournal.create(
+                self.config.checkpoint_dir, session=sid, token=token,
+                program=hello.program, n_threads=hello.n_threads,
+                initial=hello.initial, spec=hello.spec,
+                fault_tolerant=hello.fault_tolerant,
+                engines=hello.engines or self.config.default_engines)
+        try:
             return Session(sid, hello,
                            max_queued=self.config.max_queued_events,
                            peer=peer,
-                           default_engines=self.config.default_engines)
-        journal = SessionJournal.create(
-            self.config.checkpoint_dir, session=sid, token=token,
-            program=hello.program, n_threads=hello.n_threads,
-            initial=hello.initial, spec=hello.spec,
-            fault_tolerant=hello.fault_tolerant,
-            engines=hello.engines or self.config.default_engines)
-        try:
-            return SupervisedSession(
-                sid, hello, journal, supervisor=self.config.supervisor_config(),
-                max_queued=self.config.max_queued_events, peer=peer,
-                default_engines=self.config.default_engines)
+                           default_engines=self.config.default_engines,
+                           journal=journal,
+                           checkpoint_every=self.config.checkpoint_every)
         except Exception:
-            journal.delete()
+            if journal is not None:
+                journal.delete()
             raise
 
     def _stream(self, conn: socket.socket, reader,
@@ -762,12 +776,20 @@ class AnalysisServer:
 
         All writes to the connection go through the session's io lock
         (:meth:`Session.send_bytes`) because checkpoint and error frames
-        from supervisor threads share the socket with our acks.
+        from worker threads share the socket with our acks.
         ``start_seq`` is nonzero on a resumed connection: the decoder then
         re-acks the already-delivered prefix as duplicates.
         """
+        if not session.rebuilt.is_set():
+            # a recovered session: read nothing (so ack nothing) until the
+            # pool has rebuilt the journaled prefix, or the session ended
+            session.rebuilt.wait()
+            if session.state.terminal or session.conn is not conn:
+                return   # failed meanwhile, or superseded by a later resume
         meter = getattr(session, "meter", None)
-        resumable = self.config.resume_timeout > 0 and not session.supervised
+        # a journaled session sends its own ckpt frames, when it fsyncs
+        resumable = (self.config.resume_timeout > 0
+                     and session.journal is None)
 
         def ingest(msg) -> None:
             if not session.enqueue(msg, self.config.overload_timeout):
@@ -801,6 +823,11 @@ class AnalysisServer:
                     if result_frame is not None:
                         session.send_bytes(result_frame)
                         session.send_bytes(_frame({"t": "finack"}))
+                        # free the slot and the analyzer now: a client that
+                        # keeps its socket open after finack holds neither
+                        # (retiring first would put the observer's teardown
+                        # between the client and its verdict)
+                        self._retire(session)
                         self._drain_to_eof(conn, reader, session)
                     return
                 # any other control frame mid-stream is ignored: the
@@ -847,7 +874,7 @@ class AnalysisServer:
         build the result frame."""
         session.begin_drain()
         self._schedule(session)
-        if self.config.workers == 0 and not session.supervised:
+        if self.config.workers == 0:
             session.fail("no analysis workers configured")
             return None
         if not session.done.wait(self.config.drain_timeout):

@@ -5,7 +5,8 @@ journal directory::
 
     <checkpoint_dir>/session-<token>/
         meta.json     session identity: id, token, epoch, program,
-                      n_threads, initial store, spec, fault tolerance
+                      n_threads, initial store, spec, fault tolerance,
+                      and how many times a daemon restart recovered it
         events.rpt    v2 trace (repro.store.format) of the delivered
                       prefix, checkpointed incrementally
 
@@ -22,7 +23,8 @@ Crash windows are handled at two granularities:
 * a torn tail inside ``events.rpt`` (writer killed mid-frame) is dropped
   by :func:`repro.store.read_trace_prefix`'s whole-frame atomicity — the
   journal silently rolls back to the last durable checkpoint, and the
-  supervisor refeeds everything past it from the retained parent buffer;
+  resuming client resends everything past it from its resume buffer (it
+  prunes that buffer only below a ``ckpt`` frame's durable count);
 * a missing/corrupt ``meta.json`` makes the whole journal unrecoverable —
   :func:`scan_journals` reports it as skipped rather than crashing daemon
   recovery.
@@ -58,8 +60,8 @@ META_VERSION = 1
 
 _C_REPLAYED = _metrics.REGISTRY.counter(
     "server.recovery_replayed_events", unit="messages",
-    help="journaled events replayed into rebuilt observers after a worker "
-         "or daemon restart")
+    help="journaled events replayed into rebuilt observers after a daemon "
+         "restart")
 
 
 class JournalError(RuntimeError):
@@ -94,6 +96,8 @@ class JournalMeta:
     #: Engine selection strings (see :mod:`repro.engines`); empty means
     #: the classic single-LTL pipeline implied by ``spec``.
     engines: tuple[str, ...] = ()
+    #: Daemon restarts that readmitted this session (``recover=True``).
+    recoveries: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -108,6 +112,7 @@ class JournalMeta:
             "fault_tolerant": self.fault_tolerant,
             "created_at": self.created_at,
             "engines": list(self.engines),
+            "recoveries": self.recoveries,
         }
 
     @classmethod
@@ -127,6 +132,7 @@ class JournalMeta:
                 fault_tolerant=bool(d["fault_tolerant"]),
                 created_at=float(d["created_at"]),
                 engines=tuple(d.get("engines") or ()),
+                recoveries=int(d.get("recoveries", 0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise JournalError(f"malformed journal meta: {exc!r}") from exc
@@ -135,9 +141,9 @@ class JournalMeta:
 class SessionJournal:
     """One session's durable checkpoint directory.
 
-    The parent (daemon) side *creates* journals and reads their metadata;
-    the worker side *opens* them for writing via :meth:`recover_and_open`,
-    which atomically rolls a possibly-torn ``events.rpt`` back to its last
+    The daemon *creates* journals and reads their metadata; the session
+    *opens* its journal for writing via :meth:`recover_and_open`, which
+    atomically rolls a possibly-torn ``events.rpt`` back to its last
     durable prefix and returns the recovered messages for observer
     rebuild.
     """
@@ -148,7 +154,7 @@ class SessionJournal:
         self._writer: Optional[SegmentWriter] = None
         self._since_checkpoint = 0
 
-    # -- parent side ----------------------------------------------------------
+    # -- daemon side ----------------------------------------------------------
 
     @classmethod
     def create(cls, root: str | Path, *, session: int, token: str,
@@ -186,6 +192,14 @@ class SessionJournal:
         self.meta.epoch = epoch
         _atomic_write_json(self.dir / META_NAME, self.meta.to_json())
 
+    def note_recovery(self) -> int:
+        """Persist one more daemon-restart recovery *before* the prefix is
+        replayed — so a journal whose replay kills the daemon still counts
+        toward the budget — and return the new count."""
+        self.meta.recoveries += 1
+        _atomic_write_json(self.dir / META_NAME, self.meta.to_json())
+        return self.meta.recoveries
+
     @property
     def events_path(self) -> Path:
         return self.dir / EVENTS_NAME
@@ -196,7 +210,7 @@ class SessionJournal:
         w = self._writer
         return w.count if w is not None else 0
 
-    # -- worker side ----------------------------------------------------------
+    # -- session side ----------------------------------------------------------
 
     def recover_and_open(self) -> list[Message]:
         """Open the journal for writing, first salvaging any prior prefix.
@@ -217,7 +231,7 @@ class SessionJournal:
                 recovered = list(prefix.messages)
             except TraceFormatError:
                 # even the header is gone: the journal starts over and the
-                # supervisor refeeds the whole retained window
+                # resuming client resends its whole buffer
                 recovered = []
         new_path = self.dir / (EVENTS_NAME + ".new")
         writer = SegmentWriter(

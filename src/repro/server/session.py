@@ -25,6 +25,14 @@ token and versioned by an epoch that increments on every (re)attach.
 When the daemon is configured with a resume window, a dropped connection
 *detaches* the session (analysis keeps running on whatever is queued)
 instead of failing it, and a reconnecting client reclaims it by token.
+
+With a durable :class:`~repro.server.recovery.SessionJournal` (the
+daemon's ``checkpoint_dir``), the worker also journals each analyzed
+batch right after the observer accepted it and sends a ``ckpt`` frame
+whenever the journal fsyncs, so the client can prune its resume buffer.
+Analysis is a deterministic function of the message sequence, so a
+daemon that dies and restarts with ``recover=True`` rebuilds the same
+observer from the journaled prefix and the client resumes past it.
 """
 
 from __future__ import annotations
@@ -37,13 +45,19 @@ from collections import deque
 from typing import Any, Optional, Sequence
 
 from ..logic.monitor import Monitor
+from ..obs import metrics as _metrics
 from ..observer.observer import Observer
 from .protocol import Hello
+from .recovery import SessionJournal
 
 __all__ = ["SessionState", "Session"]
 
 #: Queue sentinel: end of stream, run ``Observer.finish`` next.
 _FIN = object()
+
+_C_CHECKPOINTS = _metrics.REGISTRY.counter(
+    "server.checkpoints", unit="checkpoints",
+    help="durable session-journal checkpoints (fsyncs) taken by sessions")
 
 
 class SessionState(enum.Enum):
@@ -68,6 +82,12 @@ class Session:
         hello: the validated attach handshake.
         max_queued: bound on events parked between reader and worker.
         peer: remote address string, for the status report.
+        journal: durable journal to write behind the analysis, or None.
+            It is opened here; a prefix it already holds (a daemon
+            restart's recovery) is rebuilt into the observer by the first
+            :meth:`process_batch`, and :attr:`rebuilt` is set once it is.
+        checkpoint_every: journal fsync cadence, in events (checked once
+            per analyzed batch).
 
     Construction builds the observer eagerly, so a spec whose variables are
     absent from ``hello.initial`` raises here — the daemon turns that into
@@ -76,7 +96,9 @@ class Session:
 
     def __init__(self, session_id: int, hello: Hello, max_queued: int = 1024,
                  peer: str = "",
-                 default_engines: Sequence[str] = ()):
+                 default_engines: Sequence[str] = (),
+                 journal: Optional[SessionJournal] = None,
+                 checkpoint_every: int = 128):
         if max_queued < 1:
             raise ValueError("max_queued must be >= 1")
         self.id = session_id
@@ -133,9 +155,45 @@ class Session:
         self._io_lock = threading.Lock()
         self.final_clocks: list[tuple[int, ...]] = [
             (0,) * hello.n_threads for _ in range(hello.n_threads)]
-        #: True for sessions whose analysis runs in a supervised
-        #: subprocess (repro.server.supervisor) rather than on the pool.
-        self.supervised = False
+        # the durable journal; the lock keeps a worker's batch write from
+        # racing the close/delete of a failing session on another thread
+        self.journal = journal
+        self._journal_lock = threading.Lock()
+        self._checkpoint_every = checkpoint_every
+        self._archive = None   # adopts the sealed journal at finish
+        # a recovered journal's prefix, rebuilt on the first worker turn
+        # (process_batch) rather than here so that a daemon's start-up
+        # does not wait for lattice work; `rebuilt` is set once it is in
+        self._replay: list = []
+        self.rebuilt = threading.Event()
+        if journal is not None:
+            self._replay = journal.recover_and_open()
+            # counted as received up front: a resume's `delivered` is the
+            # prefix length whether or not the rebuild has finished
+            self.received = len(self._replay)
+        if not self._replay:
+            self.rebuilt.set()
+
+    def _rebuild(self, max_batch: int) -> None:
+        """Replay the recovered prefix into the observer, ``max_batch``
+        messages per observer call, so status queries still get the
+        observer's lock between calls.  Every message was journaled
+        already; only the analysis is rebuilt."""
+        prefix, self._replay = self._replay, []
+        try:
+            for at in range(0, len(prefix), max_batch):
+                if self._state.terminal:
+                    return
+                chunk = prefix[at:at + max_batch]
+                self.observer.rebuild(chunk)
+                self.analyzed += len(chunk)
+                for m in chunk:
+                    self.final_clocks[m.thread] = tuple(m.clock)
+        except Exception as exc:  # noqa: BLE001 - reported, not raised
+            self.fail(f"analysis error while rebuilding the journaled "
+                      f"prefix: {exc}")
+        finally:
+            self.rebuilt.set()
 
     # -- state ----------------------------------------------------------------
 
@@ -153,6 +211,7 @@ class Session:
         self.finished_at = time.time()
         self._elapsed = time.monotonic() - self._t0
         self.done.set()
+        self.rebuilt.set()   # wake a reader held back for the rebuild
 
     # -- connection io --------------------------------------------------------
 
@@ -221,6 +280,12 @@ class Session:
         # outside the condition: file I/O must not block enqueuers.  A
         # failed session is never archived — the partial trace is removed.
         self._abort_archive()
+        journal = self._take_journal()
+        if journal is not None:
+            if reason == "server shutdown":
+                journal.close()   # `--recover` readmits it; the client resumes
+            else:
+                journal.delete()
         return True
 
     # -- trace archive --------------------------------------------------------
@@ -229,7 +294,12 @@ class Session:
         """Record this session into ``archive`` (a
         :class:`~repro.store.archive.TraceArchive`): every analyzed message
         is streamed into a pending trace, committed with the verdict when
-        the session finishes, aborted (file removed) when it fails."""
+        the session finishes, aborted (file removed) when it fails.  A
+        journaled session already writes the same trace format, so its
+        sealed journal is adopted at finish instead of written twice."""
+        if self.journal is not None:
+            self._archive = archive
+            return
         self._pending = archive.begin(
             program=self.program, n_threads=self.n_threads,
             initial=self.initial, spec=self.spec)
@@ -263,6 +333,54 @@ class Session:
         pending, self._pending = self._pending, None
         if pending is not None:
             pending.abort()
+
+    # -- durable journal ------------------------------------------------------
+
+    def _journal_batch(self, batch: list) -> None:
+        """Journal an analyzed batch; on a checkpoint, tell the client how
+        much is durable (it prunes its resume buffer below that)."""
+        with self._journal_lock:
+            journal = self.journal
+            if journal is None:
+                return
+            for msg in batch:
+                journal.write(msg)
+            durable = journal.maybe_checkpoint(self._checkpoint_every)
+        if durable is not None:
+            if _metrics.ENABLED:
+                _C_CHECKPOINTS.inc()
+            self.send_frame({"t": "ckpt", "n": durable})
+
+    def _take_journal(self) -> Optional[SessionJournal]:
+        """Detach the journal so exactly one thread ends it."""
+        with self._journal_lock:
+            journal, self.journal = self.journal, None
+        return journal
+
+    def _promote_journal(self) -> None:
+        """Finished: seal the journal with the verdict and move it into
+        the archive (when one is attached), then drop the journal."""
+        journal = self._take_journal()
+        if journal is None:
+            return
+        archive = self._archive
+        try:
+            if archive is not None:
+                from ..store.archive import catalog_extras
+
+                journal.seal(extra=catalog_extras(
+                    program=self.program, spec=self.spec,
+                    n_threads=self.n_threads,
+                    counterexamples=self.violations_pretty(),
+                    final_clocks=self.final_clocks,
+                    sound=self.observer.health.sound_everywhere,
+                    wall_time_s=time.time() - journal.meta.created_at,
+                    engines=self.observer.engine_verdicts()))
+                self.archive_id = archive.adopt_sealed(journal.events_path).id
+        except Exception:  # noqa: BLE001 - archive loss is not analysis loss
+            self.archive_id = None
+        finally:
+            journal.delete()
 
     # -- reader side ----------------------------------------------------------
 
@@ -310,8 +428,11 @@ class Session:
         :meth:`Observer.receive_batch`, so the whole chunk costs one arena
         write and one lattice advance instead of one per event.  Returns
         whether work remains queued.  Any exception out of the analysis
-        marks the session FAILED with the exception text.
+        marks the session FAILED with the exception text.  A recovered
+        session rebuilds its journaled prefix first (:meth:`_rebuild`).
         """
+        if self._replay:
+            self._rebuild(max_batch)
         with self._cond:
             if self._state.terminal or not self._queue:
                 return False
@@ -331,12 +452,17 @@ class Session:
                 for item in batch:
                     self.final_clocks[item.thread] = tuple(item.clock)
                     self._archive_write(item)
+                if self.journal is not None:
+                    self._journal_batch(batch)
             if saw_fin:
                 self.observer.finish()
                 # archive the verdict before `done` is published: once the
                 # reader sees `done` it may seal() and drop the observer
                 # this commit still reads from
-                self._commit_archive()
+                if self.journal is None:
+                    self._commit_archive()
+                else:
+                    self._promote_journal()
                 with self._cond:
                     if not self._state.terminal:
                         self._enter_terminal(SessionState.FINISHED)

@@ -31,7 +31,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from ..core.events import Message, VarName
 from ..obs import metrics as _metrics
@@ -65,6 +65,53 @@ _C_REBUILT = _metrics.REGISTRY.counter(
 # Trace-id sequence extractor; tolerates an optional shard namespace
 # prefix (``sh00-s000001-xyz``) in front of the classic ``s000001-xyz``.
 _ID_SEQ = re.compile(r"^(?:[A-Za-z0-9_]+-)??s(\d{6})-")
+
+
+def catalog_extras(*, program: str, spec: Optional[str], n_threads: int,
+                   counterexamples: Sequence[str],
+                   final_clocks: Sequence[Sequence[int]], sound: bool,
+                   wall_time_s: float,
+                   engines: Optional[list] = None) -> dict:
+    """The verdict a sealed trace embeds in its footer.
+
+    ``engines`` is the per-engine attribution — a list of
+    :class:`~repro.engines.base.EngineVerdict` (or anything with
+    ``engine``/``version``/``spec``/``qualified``), in verdict order; the
+    first engine is the primary one named in the catalog.  Without it the
+    entry is attributed to the classic pipeline (``ltl`` when a spec was
+    given, ``none`` otherwise).  Embedding the verdict lets a lost
+    ``catalog.json`` be rebuilt from the trace files alone (file size and
+    path are recomputable and deliberately omitted).
+    """
+    if engines:
+        primary = engines[0]
+        engine, engine_version = primary.engine, primary.version
+        engine_spec = primary.spec
+        qualified = [v.qualified for v in engines]
+        engine_specs = [v.spec for v in engines]
+    else:
+        engine = "ltl" if spec else "none"
+        engine_version = "1"
+        engine_spec = spec
+        qualified = [f"{engine}@{engine_version}"] if spec else []
+        engine_specs = [spec] if spec else []
+    return {
+        "program": program,
+        "spec": spec,
+        "n_threads": n_threads,
+        "verdict": VERDICT_VIOLATION if counterexamples else VERDICT_CLEAN,
+        "violations": len(counterexamples),
+        "counterexamples": list(counterexamples),
+        "final_clocks": [list(c) for c in final_clocks],
+        "sound": sound,
+        "wall_time_s": round(wall_time_s, 6),
+        "created_at": time.time(),
+        "engine": engine,
+        "engine_version": engine_version,
+        "engines": qualified,
+        "engine_spec": engine_spec,
+        "engine_specs": engine_specs,
+    }
 
 
 class PendingTrace:
@@ -119,14 +166,8 @@ class PendingTrace:
     def commit(self, counterexamples: list[str], sound: bool,
                wall_time_s: float,
                engines: Optional[list] = None) -> Optional[CatalogEntry]:
-        """Seal the trace and publish its catalog entry.
-
-        ``engines`` is the per-engine attribution — a list of
-        :class:`~repro.engines.base.EngineVerdict` (or anything with
-        ``engine``/``version``/``spec``/``qualified``), in verdict order;
-        the first engine is the primary one named in the catalog.  Without
-        it the entry is attributed to the classic pipeline (``ltl`` when a
-        spec was given, ``none`` otherwise).
+        """Seal the trace and publish its catalog entry (``engines`` as
+        in :func:`catalog_extras`).
 
         Returns ``None`` when the trace was already resolved (a concurrent
         abort won the race)."""
@@ -135,38 +176,10 @@ class PendingTrace:
                 return None
             self._resolved = True
             writer, self._writer = self._writer, None
-        if engines:
-            primary = engines[0]
-            engine, engine_version = primary.engine, primary.version
-            engine_spec = primary.spec
-            qualified = [v.qualified for v in engines]
-            engine_specs = [v.spec for v in engines]
-        else:
-            engine = "ltl" if self.spec else "none"
-            engine_version = "1"
-            engine_spec = self.spec
-            qualified = [f"{engine}@{engine_version}"] if self.spec else []
-            engine_specs = [self.spec] if self.spec else []
-        # the verdict is embedded in the footer too, so a lost catalog.json
-        # can be rebuilt from the trace files alone (file size and path are
-        # recomputable from the file itself and deliberately omitted)
-        extras = {
-            "program": self.program,
-            "spec": self.spec,
-            "n_threads": self.n_threads,
-            "verdict": VERDICT_VIOLATION if counterexamples else VERDICT_CLEAN,
-            "violations": len(counterexamples),
-            "counterexamples": list(counterexamples),
-            "final_clocks": [list(c) for c in self.final_clocks],
-            "sound": sound,
-            "wall_time_s": round(wall_time_s, 6),
-            "created_at": time.time(),
-            "engine": engine,
-            "engine_version": engine_version,
-            "engines": qualified,
-            "engine_spec": engine_spec,
-            "engine_specs": engine_specs,
-        }
+        extras = catalog_extras(
+            program=self.program, spec=self.spec, n_threads=self.n_threads,
+            counterexamples=counterexamples, final_clocks=self.final_clocks,
+            sound=sound, wall_time_s=wall_time_s, engines=engines)
         writer.close(extra=extras)
         os.replace(self._part_path, self._final_path)
         entry = CatalogEntry(
@@ -185,11 +198,11 @@ class PendingTrace:
             bytes=self._final_path.stat().st_size,
             path=str(self._final_path.relative_to(self.archive.root)),
             format=FORMAT_VERSION,
-            engine=engine,
-            engine_version=engine_version,
-            engines=tuple(qualified),
-            engine_spec=engine_spec,
-            engine_specs=tuple(engine_specs),
+            engine=extras["engine"],
+            engine_version=extras["engine_version"],
+            engines=tuple(extras["engines"]),
+            engine_spec=extras["engine_spec"],
+            engine_specs=tuple(extras["engine_specs"]),
         )
         self.archive._publish(entry)
         if _metrics.ENABLED:

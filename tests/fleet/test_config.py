@@ -48,24 +48,44 @@ class TestShardConfig:
         assert sc.archive_namespace == ""
 
     def test_supervised_derives_per_shard_checkpoints(self, tmp_path):
-        config = FleetConfig(shards=2, supervised=True,
-                             checkpoint_dir=str(tmp_path))
+        # journaling follows checkpoint_dir; the fleet supervises shards
+        config = FleetConfig(shards=2, checkpoint_dir=str(tmp_path))
         sc = config.shard_config(1)
-        assert sc.supervised
         assert sc.checkpoint_dir.endswith("shard-01")
         assert not sc.recover
         assert config.shard_config(1, recover=True).recover
 
     def test_recover_needs_supervision(self, tmp_path):
-        # an unsupervised shard has no journals to rescan: recover=True
-        # must not leak into its ServerConfig (which would reject it)
+        # a shard without a checkpoint_dir has no journals to rescan:
+        # recover=True must not leak into its ServerConfig (which would
+        # reject it)
         sc = FleetConfig(shards=1).shard_config(0, recover=True)
         assert not sc.recover
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             FleetConfig(shards=0)
-        with pytest.raises(ValueError):
-            FleetConfig(supervised=True)   # no checkpoint_dir
+        with pytest.raises(TypeError):
+            FleetConfig(supervised=True)   # journaling follows checkpoint_dir
         with pytest.raises(ValueError):
             FleetConfig(shards=2).shard_config(2)
+
+
+class TestShardBootstrap:
+    def test_startup_failure_names_the_exception(self, tmp_path):
+        from repro.fleet import AnalysisFleet
+
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        config = FleetConfig(shards=1, archive_dir=str(blocker))
+        with pytest.raises(RuntimeError) as exc:
+            AnalysisFleet(config).start()
+        text = str(exc.value)
+        assert "shard 0 failed to start" in text
+        assert "NotADirectoryError" in text
+
+    def test_exit_status_names_the_signal(self):
+        from repro.fleet.shards import _exit_text
+
+        assert _exit_text(-9) == "killed by SIGKILL"
+        assert _exit_text(1) == "exit code 1"

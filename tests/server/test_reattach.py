@@ -117,7 +117,7 @@ class TestDaemonRestart:
     def test_recover_readmits_and_client_resumes(self, tmp_path,
                                                  xyz_execution, xyz_initial):
         ckpt = str(tmp_path / "ckpt")
-        base = dict(workers=2, supervised=True, checkpoint_dir=ckpt,
+        base = dict(workers=2, checkpoint_dir=ckpt,
                     checkpoint_every=1, resume_timeout=30.0,
                     drain_timeout=60.0)
         first = AnalysisServer(ServerConfig(port=0, **base)).start()
@@ -131,9 +131,10 @@ class TestDaemonRestart:
         half = len(xyz_execution.messages) // 2
         for m in xyz_execution.messages[:half]:
             session.send(m)
-        deadline = time.monotonic() + 10.0   # wait for a durable prefix
-        sess = first._sessions[session.session_id]
-        while sess._durable == 0 and time.monotonic() < deadline:
+        # wait for a journaled prefix (the shutdown below fsyncs it)
+        deadline = time.monotonic() + 10.0
+        journal = first._sessions[session.session_id].journal
+        while journal.count == 0 and time.monotonic() < deadline:
             time.sleep(0.02)
         first.shutdown(drain=False)   # journals survive a daemon shutdown
 
@@ -160,6 +161,117 @@ class TestDaemonRestart:
         assert verdict.analyzed == len(xyz_execution.messages)
         assert sorted(verdict.counterexamples) == expected
         assert session.reconnects >= 1
+
+
+    def test_recovery_rebuild_runs_after_start_and_holds_the_resume(
+            self, tmp_path, xyz_execution, xyz_initial, monkeypatch):
+        # the journaled prefix is rebuilt on the worker pool, so a slow
+        # rebuild (a large lattice) neither delays start() past a
+        # supervisor's spawn timeout nor lets the resumed stream overtake it
+        ckpt = str(tmp_path / "ckpt")
+        base = dict(workers=2, checkpoint_dir=ckpt, checkpoint_every=1,
+                    resume_timeout=30.0, drain_timeout=60.0)
+        first = AnalysisServer(ServerConfig(port=0, **base)).start()
+        port = first.port
+        session = attach(first.host, port,
+                         n_threads=xyz_execution.n_threads,
+                         initial=xyz_initial, spec=XYZ_PROPERTY,
+                         program="xyz",
+                         reconnect=ReconnectPolicy(max_attempts=12,
+                                                   backoff=0.1))
+        half = len(xyz_execution.messages) // 2
+        for m in xyz_execution.messages[:half]:
+            session.send(m)
+        journal = first._sessions[session.session_id].journal
+        deadline = time.monotonic() + 10.0
+        while journal.count == 0 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        first.shutdown(drain=False)
+
+        real_rebuild = Observer.rebuild
+
+        def slow_rebuild(self, messages):
+            time.sleep(1.5)
+            return real_rebuild(self, messages)
+
+        monkeypatch.setattr(Observer, "rebuild", slow_rebuild)
+        second = None
+        deadline = time.monotonic() + 10.0
+        while second is None:
+            try:
+                started = time.monotonic()
+                second = AnalysisServer(
+                    ServerConfig(port=port, recover=True, **base)).start()
+            except OSError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.1)
+        try:
+            assert time.monotonic() - started < 1.0
+            recovered = second._sessions[session.session_id]
+            assert not recovered.rebuilt.is_set()
+            assert recovered.received > 0
+            for m in xyz_execution.messages[half:]:
+                session.send(m)
+            verdict = session.close(timeout=60.0)
+        finally:
+            second.shutdown()
+        expected = _standalone(xyz_execution, xyz_initial, XYZ_PROPERTY)
+        assert verdict.state == "finished"
+        assert verdict.analyzed == len(xyz_execution.messages)
+        assert sorted(verdict.counterexamples) == expected
+
+    def test_resume_then_daemon_crash_resends_the_unjournaled_tail(
+            self, tmp_path, xyz_execution, xyz_initial):
+        # a live resume reports everything *received* as delivered, but
+        # only the journaled prefix survives a daemon restart: the client
+        # must keep messages until a ckpt frame, not until a helloack
+        ckpt = str(tmp_path / "ckpt")
+        base = dict(checkpoint_dir=ckpt, resume_timeout=30.0,
+                    drain_timeout=60.0)
+        # no workers: nothing is analyzed, so nothing is journaled
+        first = AnalysisServer(ServerConfig(port=0, workers=0,
+                                            **base)).start()
+        port = first.port
+        session = attach(first.host, port,
+                         n_threads=xyz_execution.n_threads,
+                         initial=xyz_initial, spec=XYZ_PROPERTY,
+                         program="xyz",
+                         reconnect=ReconnectPolicy(max_attempts=12,
+                                                   backoff=0.1))
+        messages = list(xyz_execution.messages)
+        half = len(messages) // 2
+        for m in messages[:half]:
+            session.send(m)
+        live = first._sessions[session.session_id]
+        deadline = time.monotonic() + 10.0
+        while live.received < half and time.monotonic() < deadline:
+            time.sleep(0.02)
+        _drop(session)
+        session.send(messages[half])          # resumes: delivered == half
+        assert session.reconnects == 1
+        first.shutdown(drain=False)
+
+        second = None
+        deadline = time.monotonic() + 10.0
+        while second is None:
+            try:
+                second = AnalysisServer(ServerConfig(
+                    port=port, workers=2, recover=True, **base)).start()
+            except OSError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.1)
+        try:
+            for m in messages[half + 1:]:
+                session.send(m)
+            verdict = session.close(timeout=60.0)
+        finally:
+            second.shutdown()
+        expected = _standalone(xyz_execution, xyz_initial, XYZ_PROPERTY)
+        assert verdict.state == "finished"
+        assert verdict.analyzed == len(messages)
+        assert sorted(verdict.counterexamples) == expected
 
 
 class _FakeServer:

@@ -70,6 +70,12 @@ class TestJournalRoundTrip:
         journal.bump_epoch(4)
         assert SessionJournal.open_dir(journal.dir).meta.epoch == 4
 
+    def test_note_recovery_persists_the_count(self, tmp_path):
+        journal = _create(tmp_path, _execution())
+        assert journal.note_recovery() == 1
+        assert journal.note_recovery() == 2
+        assert SessionJournal.open_dir(journal.dir).meta.recoveries == 2
+
     def test_delete_removes_directory(self, tmp_path):
         journal = _create(tmp_path, _execution())
         journal.recover_and_open()
@@ -185,3 +191,55 @@ class TestSealAndAdopt:
         assert entry.events == len(execution.messages)
         assert not sealed.exists()   # moved, not copied
         assert archive.path_of(entry).exists()
+
+
+class TestJournaledSessions:
+    def test_concurrent_finish_and_abort_leave_no_journal(self, tmp_path,
+                                                          monkeypatch):
+        # the worker journals a batch while a reader thread may fail the
+        # session: every journal must end exactly once, no thread may die
+        import sys
+        import threading
+
+        from repro.server import AnalysisServer, ServerConfig, attach
+
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        executions = [_execution(seed) for seed in range(8)]
+        ckpt = tmp_path / "ckpt"
+        config = ServerConfig(port=0, workers=4, max_sessions=8,
+                              checkpoint_dir=str(ckpt), checkpoint_every=1,
+                              batch=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AnalysisServer(config) as srv:
+                def client(i, execution):
+                    session = attach(
+                        srv.host, srv.port, n_threads=execution.n_threads,
+                        initial=dict(execution.initial_store),
+                        spec=XYZ_PROPERTY)
+                    half = len(execution.messages) // 2
+                    for m in execution.messages[:half]:
+                        session.send(m)
+                    if i % 2:
+                        session.abort()
+                        return
+                    for m in execution.messages[half:]:
+                        session.send(m)
+                    assert session.close(timeout=30.0).state == "finished"
+
+                threads = [threading.Thread(target=client, args=(i, e))
+                           for i, e in enumerate(executions)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+                assert srv.wait_idle(timeout=30.0)
+                states = sorted(r["state"] for r in srv.status()["sessions"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert crashes == []
+        assert states == ["failed"] * 4 + ["finished"] * 4
+        assert list(ckpt.iterdir()) == []

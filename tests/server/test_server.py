@@ -156,6 +156,52 @@ class TestAdmissionControl:
             # attach may have been counted too
             assert status["server"]["rejected"] >= 1
 
+    def test_concurrent_attaches_never_exceed_max_sessions(self, tmp_path,
+                                                           monkeypatch):
+        # sessions (and their journals) are built outside the server lock
+        # on a reserved slot: a burst of attaches admits exactly
+        # max_sessions of them and leaves no reservation behind
+        import sys
+        import threading
+
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        config = ServerConfig(port=0, workers=1, max_sessions=2,
+                              checkpoint_dir=str(tmp_path / "ckpt"))
+        admitted, rejected = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AnalysisServer(config) as srv:
+                start = threading.Barrier(8)
+
+                def client():
+                    start.wait(timeout=10.0)
+                    try:
+                        admitted.append(attach(srv.host, srv.port,
+                                               n_threads=2,
+                                               initial={"x": 0}))
+                    except ServerRejected as exc:
+                        rejected.append(exc.reason)
+
+                threads = [threading.Thread(target=client)
+                           for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+                assert not any(t.is_alive() for t in threads)
+                assert len(admitted) == 2
+                assert len(rejected) == 6
+                assert all("capacity" in r for r in rejected)
+                assert srv._admitting == 0
+                assert len(srv._sessions) == 2
+                for session in admitted:
+                    assert session.close(timeout=10.0).state == "finished"
+        finally:
+            sys.setswitchinterval(interval)
+        assert crashes == []
+
     def test_bad_spec_rejected_with_reason(self, srv_factory=None):
         with AnalysisServer(ServerConfig(port=0, workers=1)) as srv:
             with pytest.raises(ServerRejected) as exc:
@@ -279,6 +325,14 @@ class TestServerConfig:
         with pytest.raises(ValueError):
             ServerConfig(**kw)
 
+    @pytest.mark.parametrize("knob", ["supervised", "heartbeat_timeout",
+                                      "restart_backoff"])
+    def test_no_per_session_supervision_knobs(self, knob):
+        # process supervision lives in repro.fleet; a daemon journals
+        # when it has a checkpoint_dir
+        with pytest.raises(TypeError):
+            ServerConfig(**{knob: 1})
+
 
 class TestServerMetrics:
     def test_session_lifecycle_metrics(self, xyz_execution, xyz_initial):
@@ -401,3 +455,67 @@ class TestRejectCategories:
                     if metrics.base_name(n) == "server.rejects"}
         assert sum(labelled.values()) >= 1
         assert any("reason=capacity" in n for n in labelled)
+
+
+class TestFinishedConnection:
+    def test_open_socket_after_the_verdict_holds_no_analyzer_or_slot(self):
+        # the session is retired once its result and finack are sent: a
+        # client that keeps the socket open afterwards pins neither the
+        # observer nor a max_sessions slot
+        import socket
+
+        from repro.server.protocol import Hello, encode_frame, \
+            read_frame_line
+
+        with AnalysisServer(ServerConfig(port=0, workers=1,
+                                         max_sessions=1)) as srv:
+            hello = Hello(mode="attach", n_threads=2, initial={"x": 0})
+            with socket.create_connection((srv.host, srv.port)) as sock:
+                sock.settimeout(10.0)
+                sock.sendall(encode_frame(hello.to_frame()))
+                ack = read_frame_line(sock)
+                live = srv._sessions[ack["session"]]
+                sock.sendall(b'{"t":"fin","count":0}\n')
+                assert read_frame_line(sock)["t"] == "result"
+                assert read_frame_line(sock)["t"] == "finack"
+                assert srv.wait_idle(timeout=10.0)
+                assert live.observer is None
+                second = attach(srv.host, srv.port, n_threads=2,
+                                initial={"x": 0})
+                assert second.close(timeout=10.0).state == "finished"
+
+
+class TestMalformedFin:
+    @pytest.mark.parametrize("count", ['"3"', "true", "-1", "null", "2.0"])
+    def test_bad_fin_count_is_a_corrupt_frame_not_a_crash(self, count,
+                                                          monkeypatch):
+        # a fin whose count is not a non-negative int used to raise a
+        # TypeError out of the reader thread: traceback, no err frame
+        import socket
+        import threading
+
+        from repro.server.protocol import Hello, encode_frame, \
+            read_frame_line
+
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        records = []
+        with AnalysisServer(ServerConfig(port=0, workers=1),
+                            on_session_end=records.append) as srv:
+            hello = Hello(mode="attach", n_threads=2, initial={"x": 0})
+            with socket.create_connection((srv.host, srv.port)) as sock:
+                sock.settimeout(10.0)
+                sock.sendall(encode_frame(hello.to_frame()))
+                assert read_frame_line(sock)["t"] == "helloack"
+                sock.sendall(b'{"t":"fin","count":' + count.encode()
+                             + b'}\n')
+                # the bad fin was dropped; a well-formed one still ends
+                # the stream with a verdict
+                sock.sendall(b'{"t":"fin","count":0}\n')
+                reply = read_frame_line(sock)
+            assert srv.wait_idle(timeout=10.0)
+        assert crashes == []
+        assert reply["t"] == "result"
+        assert reply["state"] == "finished"
+        assert reply["analyzed"] == 0
+        assert [r["state"] for r in records] == ["finished"]

@@ -273,6 +273,13 @@ class TestServerCommands:
                             "--spec", "x >= -1")
         assert code == 0
 
+    def test_serve_has_no_supervised_flag(self, capsys):
+        # process supervision is the fleet's (`fleet serve --shards 1`)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("serve", "--supervised")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --supervised" in capsys.readouterr().err
+
     def test_attach_connection_refused_exits_two(self):
         # a freshly closed ephemeral port: nothing listens there
         import socket
